@@ -15,17 +15,24 @@ module owns the *representation* of those blocks on the simulated wire:
   (global value dictionary + fixed-width indices; small when the value
   universe is tiny, e.g. CC labels late in the fixpoint).
 
-Codec payloads are Python ``bytes`` on purpose: the fault plane's
-bit-flip mutator only targets integer/ndarray leaves, so a corrupted
-wire box flips header integers and is caught by the CRC-32 envelope
-before any decode runs — exactly like the un-encoded path in PR 4.
+The codec *defines the charged size*: the modeled cost of a codec is the
+encoded byte count of each box, which flows through
+``CostModel.alltoallv`` bandwidth terms (decoding CPU time is not
+charged; the sender-side fold is charged separately by the engine, see
+DESIGN §11).  In-process exchanges never build those bytes:
+:func:`encoded_sizes` computes every box's ``len(encode_rows(box))``
+in one segmented pass over a whole send block, and the route exchange
+ships the rows themselves inside an opaque payload with no integer
+leaves, so the fault plane's bit-flip mutator still only reaches the box
+header and the CRC-32 envelope catches it before anything is absorbed.
+:func:`encode_rows`/:func:`decode_rows` stay the reference: each sized
+exchange round-trips its largest box through them and raises on any
+mismatch, and the SPMD driver and the rebalance exchange still ship the
+real bytes.
 
 Encode/decode are exact inverses for every int64 block, including
 negative values and full-range bit patterns (deltas wrap modulo 2^64 on
-both sides, so overflow is harmless).  Decoding CPU time is not charged
-to the model — the modeled cost of a codec is its *encoded byte count*,
-which flows through ``CostModel.alltoallv`` bandwidth terms; the
-sender-side fold is charged separately by the engine (see DESIGN §11).
+both sides, so overflow is harmless).
 """
 
 from __future__ import annotations
@@ -238,6 +245,62 @@ def decode_rows(data: bytes, n_rows: int, arity: int, codec: str) -> np.ndarray:
         return _delta_decode(data, n_rows, arity)
     if codec == "dict":
         return _dict_decode(data, n_rows, arity)
+    raise ValueError(f"unknown wire codec {codec!r}")
+
+
+#: ``u >= _VARINT_LIMITS[k]`` exactly when ``u`` needs more than ``k + 1``
+#: LEB128 bytes.
+_VARINT_LIMITS = np.asarray([1 << (7 * k) for k in range(1, 10)], np.uint64)
+
+
+def _varint_lengths(u: np.ndarray) -> np.ndarray:
+    """LEB128 byte count of every element of a uint64 vector."""
+    return np.searchsorted(_VARINT_LIMITS, u, side="right").astype(np.int64) + 1
+
+
+def encoded_sizes(rows: np.ndarray, starts: np.ndarray, codec: str) -> np.ndarray:
+    """``len(encode_rows(box, codec))`` of every box of a segmented block.
+
+    ``rows`` is an ``(n, arity)`` int64 block whose boxes are the
+    consecutive row ranges beginning at ``starts`` (ascending, first 0,
+    every box non-empty).  One vectorized pass sizes them all: ``raw`` is
+    ``n·arity·8``; ``delta`` sums the varint lengths of the zigzagged
+    column differences, restarting at every box; ``dict`` is the header,
+    the delta-varint dictionary of the box's distinct values, and one
+    fixed-width index per value.
+    """
+    n, arity = rows.shape
+    counts = np.diff(np.append(starts, n))
+    if codec == "raw":
+        return counts * (arity * 8)
+    if codec == "delta":
+        d = np.empty_like(rows)
+        d[1:] = rows[1:] - rows[:-1]
+        d[starts] = rows[starts]
+        per_row = _varint_lengths(_zigzag(d).ravel()).reshape(n, arity).sum(axis=1)
+        return np.add.reduceat(per_row, starts)
+    if codec == "dict":
+        n_boxes = starts.shape[0]
+        box = np.repeat(np.repeat(np.arange(n_boxes), counts), arity)
+        vals = rows.ravel()
+        order = np.lexsort((vals, box))
+        vals, box = vals[order], box[order]
+        fresh = np.ones(vals.shape[0], bool)
+        fresh[1:] = (vals[1:] != vals[:-1]) | (box[1:] != box[:-1])
+        uniq, ubox = vals[fresh], box[fresh]
+        first = np.ones(uniq.shape[0], bool)
+        first[1:] = ubox[1:] != ubox[:-1]
+        d = np.empty_like(uniq)
+        d[1:] = uniq[1:] - uniq[:-1]
+        d[first] = uniq[first]
+        dict_bytes = np.bincount(
+            ubox, weights=_varint_lengths(_zigzag(d)), minlength=n_boxes
+        ).astype(np.int64)
+        n_dict = np.bincount(ubox, minlength=n_boxes)
+        width = np.select(
+            [n_dict <= 1 << 8, n_dict <= 1 << 16, n_dict <= 1 << 32], [1, 2, 4], 8
+        )
+        return _DICT_HEADER.size + dict_bytes + counts * arity * width
     raise ValueError(f"unknown wire codec {codec!r}")
 
 

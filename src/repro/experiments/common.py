@@ -23,8 +23,13 @@ class ExperimentDefaults:
     scale_shift: int
     full: bool
     seed: int = 42
+    #: Rank counts to sweep instead of the figure's own full/quick list
+    #: (small sweeps for tests and smoke runs).
+    rank_list: Optional[Sequence[int]] = None
 
     def ranks(self, full_list: Sequence[int], quick_list: Sequence[int]) -> List[int]:
+        if self.rank_list is not None:
+            return list(self.rank_list)
         return list(full_list if self.full else quick_list)
 
 

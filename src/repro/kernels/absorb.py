@@ -720,9 +720,10 @@ def combine_block(
     ``combiner is None`` means a plain (set-semantics) relation —
     duplicates are dropped outright.  For aggregates the combiner's
     ``join`` must be ``combinable`` (the caller gates on that); each
-    key's occurrence sequence collapses to its lattice fold via a
-    logarithmic halving pass, so duplicate-heavy boxes cost
-    O(n log max_dups) vector work instead of a Python-level group loop.
+    key's occurrence sequence collapses to its lattice fold
+    (:func:`fold_groups`).  The SPMD driver folds box by box with this;
+    the in-process route exchange folds a whole exchange at once
+    (:func:`repro.kernels.route.build_route_sends`) with the same result.
 
     Output rows are sorted by independent key with distinct keys — the
     canonical form the delta codec exploits.  Receiver absorption of the
@@ -736,21 +737,37 @@ def combine_block(
         return np.unique(rows, axis=0)
     indep = rows[:, :n_indep]
     order, starts, counts = lex_group(indep)
-    n_groups = starts.shape[0]
-    vals = rows[:, n_indep:][order]
-    if n_groups != n:
-        join = combiner.join
-        # Within-group positions; halving joins odd positions into their
-        # even predecessors until one row per group remains.
-        pos = np.arange(n, dtype=np.int64) - np.repeat(starts, counts)
-        while vals.shape[0] > n_groups:
-            odd = (pos & 1) == 1
-            idx = np.nonzero(odd)[0]
-            vals[idx - 1] = join(vals[idx - 1], vals[idx])
-            keep = ~odd
-            vals = vals[keep]
-            pos = pos[keep] >> 1
-    out = np.empty((n_groups, rows.shape[1]), dtype=np.int64)
+    out = np.empty((starts.shape[0], rows.shape[1]), dtype=np.int64)
     out[:, :n_indep] = indep[order[starts]]
-    out[:, n_indep:] = vals
+    out[:, n_indep:] = fold_groups(
+        rows[:, n_indep:][order], starts, counts, combiner.join
+    )
     return out
+
+
+def fold_groups(
+    vals: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    join: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Fold each group of grouped rows to one row with a lattice ``join``.
+
+    ``vals`` holds the groups' rows back to back (group ``g`` at
+    ``starts[g] : starts[g] + counts[g]``, in arrival order) and is
+    consumed.  A logarithmic halving pass joins odd within-group
+    positions into their even predecessors until one row per group
+    remains, so duplicate-heavy groups cost O(n log max_dups) vector work.
+    """
+    n_groups = starts.shape[0]
+    if n_groups == vals.shape[0]:
+        return vals
+    pos = np.arange(vals.shape[0], dtype=np.int64) - np.repeat(starts, counts)
+    while vals.shape[0] > n_groups:
+        odd = (pos & 1) == 1
+        idx = np.nonzero(odd)[0]
+        vals[idx - 1] = join(vals[idx - 1], vals[idx])
+        keep = ~odd
+        vals = vals[keep]
+        pos = pos[keep] >> 1
+    return vals

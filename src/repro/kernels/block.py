@@ -19,7 +19,7 @@ on:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,20 +63,11 @@ def lex_group(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     if ncols == 0:
         order = np.arange(n, dtype=np.int64)
         return order, np.zeros(1, dtype=np.int64), np.asarray([n], dtype=np.int64)
-    order = None
-    if ncols == 2:
-        # Composite-key fast path: one stable argsort instead of a 2-key
-        # lexsort.  (c0 << 31) | c1 is a bijection on [0, 2^31)² — exact
-        # grouping is preserved; out-of-range values take the general path.
-        c0, c1 = mat[:, 0], mat[:, 1]
-        if (
-            c0.min(initial=0) >= 0
-            and c1.min(initial=0) >= 0
-            and c0.max(initial=0) < 2**31
-            and c1.max(initial=0) < 2**31
-        ):
-            order = np.argsort((c0 << np.int64(31)) | c1, kind="stable")
-    if order is None:
+    key = mat[:, 0] if ncols == 1 else _packed_key(mat)
+    if key is not None:
+        order = np.argsort(key, kind="stable")
+        del key  # free it before the gather below
+    else:
         # np.lexsort is stable and sorts by the *last* key first.
         order = np.lexsort(tuple(mat[:, c] for c in range(ncols - 1, -1, -1)))
     order = order.astype(np.int64, copy=False)
@@ -90,6 +81,26 @@ def lex_group(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
     counts = np.diff(np.concatenate([starts, np.asarray([n], dtype=np.int64)]))
     return order, starts, counts
+
+
+def _packed_key(mat: np.ndarray) -> Optional[np.ndarray]:
+    """One int64 sort key per row, or None if the columns do not fit.
+
+    Non-negative columns packed side by side in their bit widths form an
+    order-preserving bijection, so one stable argsort of the key groups
+    and orders rows exactly as a multi-key lexsort would.  Negative
+    values, or keys needing more than 63 bits, return None.
+    """
+    cols = [mat[:, c] for c in range(mat.shape[1])]
+    if any(int(col.min()) < 0 for col in cols):
+        return None
+    widths = [int(col.max()).bit_length() for col in cols]
+    if sum(widths) > 63:
+        return None
+    key = cols[0].astype(np.int64, copy=False)
+    for col, width in zip(cols[1:], widths[1:]):
+        key = (key << np.int64(width)) | col.astype(np.int64, copy=False)
+    return key
 
 
 def group_ids(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

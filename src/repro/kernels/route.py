@@ -1,4 +1,4 @@
-"""Vectorized send-side builders for the two communication phases.
+"""Vectorized send-side builders for the communication phases.
 
 ``build_intra_sends``
     Intra-bucket replication (pipeline phase 2): every outer tuple goes
@@ -8,9 +8,11 @@
     identical to the scalar path's per-tuple items.
 
 ``build_route_sends``
-    Home routing of emitted head tuples (phase 4): one hash pass
-    computes every tuple's (bucket, sub, owner); rows are stably grouped
-    per destination shard into ``(bucket, sub, row_block)`` boxes.
+    Home routing of emitted head tuples (phase 4): one hash pass over
+    every source computes each tuple's (bucket, sub, owner); rows are
+    stably grouped per destination shard into boxes.  With the wire
+    layer on, the same pass folds each source's boxes and sizes them with
+    the codec (:func:`wire_payloads`).
 
 Both preserve the scalar path's per-(src, dst) row sequences exactly —
 the ordering the receiving shards' absorb semantics depend on.
@@ -18,18 +20,82 @@ the ordering the receiving shards' absorb semantics depend on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.comm.wire import decode_rows, encode_rows
+from repro.comm.wire import WIRE_HEADER_WORDS, decode_rows, encode_rows, encoded_sizes
+from repro.kernels.absorb import fold_groups
+from repro.kernels.block import lex_group
 
 IntraBox = Tuple[np.ndarray, np.ndarray]  # (per-row buckets, rows)
 RouteBox = Tuple[int, int, np.ndarray]  # (bucket, sub, rows)
-#: A route box in wire form: payload encoded, pre-combine row count kept
-#: so the per-edge savings stay observable (CommMatrix "precombine"
-#: channel, trace-report bytes-saved column).
-WireBox = Tuple[int, int, int, int, bytes]  # (bucket, sub, n_rows, pre_rows, payload)
+
+
+class WireRows:
+    """Opaque payload of one sized wire box: its rows and codec size.
+
+    ``rows`` is a view of the sender's folded block, absorbed by the
+    receiver as it is; ``size`` is ``len(encode_rows(rows, codec))``.
+    The payload has no integer or array leaves, so on a route box
+    ``(bucket, sub, n_rows, pre_rows, WireRows)`` the fault plane's bit
+    flips land on the four header words, as they did when payloads were
+    encoded ``bytes``, and the CRC-32 envelope catches them.
+    """
+
+    __slots__ = ("rows", "size")
+
+    def __init__(self, rows: np.ndarray, size: int):
+        self.rows = rows
+        self.size = size
+
+    @property
+    def nbytes(self) -> int:
+        """Wire bytes charged for the box: payload plus the header words."""
+        return self.size + WIRE_HEADER_WORDS * 8
+
+
+#: A route box with the wire layer on; ``pre_rows`` is the pre-fold row
+#: count, kept so the per-edge savings stay observable (CommMatrix
+#: "precombine" channel, trace-report bytes-saved column).
+SizedBox = Tuple[int, int, int, int, WireRows]  # (bucket, sub, n_rows, pre_rows, payload)
+#: ``sends[src][dst]``: the boxes one rank sends another.
+RouteSends = Dict[int, Dict[int, List[Union[RouteBox, SizedBox]]]]
+
+
+def wire_payloads(block: np.ndarray, starts: np.ndarray, codec: str) -> List[WireRows]:
+    """Size every box of a segmented block and wrap it as a payload.
+
+    Box ``i`` is ``block[starts[i]:starts[i + 1]]``; one segmented
+    :func:`~repro.comm.wire.encoded_sizes` pass sizes them all, without
+    running the codec (see :func:`check_largest`).
+    """
+    ends = np.append(starts[1:], block.shape[0])
+    sizes = encoded_sizes(block, starts, codec)
+    return [
+        WireRows(block[lo:hi], size)
+        for lo, hi, size in zip(starts.tolist(), ends.tolist(), sizes.tolist())
+    ]
+
+
+def check_largest(payloads: Sequence[WireRows], codec: str) -> None:
+    """Round-trip the payload with the most rows (first on ties) through
+    the real codec, so every sized exchange runs it once; raise
+    ``RuntimeError`` if the encoded length is not the charged size or
+    the rows do not decode back."""
+    if not payloads:
+        return
+    big = max(payloads, key=lambda p: p.rows.shape[0])
+    rows, size = big.rows, big.size
+    data = encode_rows(rows, codec)
+    if len(data) != size:
+        raise RuntimeError(
+            f"{codec} box of {rows.shape[0]} rows was sized {size} B "
+            f"but encodes to {len(data)} B"
+        )
+    back = decode_rows(data, rows.shape[0], rows.shape[1], codec)
+    if not np.array_equal(back, rows):
+        raise RuntimeError(f"{codec} box of {rows.shape[0]} rows does not round-trip")
 
 
 def _segment_bounds(sorted_vals: np.ndarray) -> np.ndarray:
@@ -110,88 +176,133 @@ def build_intra_sends(
     return sends, n_intra
 
 
+#: Rows per vectorized routing pass: sources are batched up to about
+#: this many rows, which amortizes per-source overhead when ranks are many
+#: and small while keeping the pass's temporaries small when they are big.
+ROUTE_PASS_ROWS = 1 << 14
+
+
 def build_route_sends(
-    emitted: Dict[int, np.ndarray], dist
-) -> Tuple[Dict[int, Dict[int, List[RouteBox]]], int]:
-    """Group each source's emitted rows into per-shard boxes by owner."""
-    sends: Dict[int, Dict[int, List[RouteBox]]] = {}
-    n_comm = 0
-    for src, rows in emitted.items():
-        n = rows.shape[0]
-        if n == 0:
-            continue
-        b_arr, s_arr = dist.bucket_sub_of_rows(rows)
-        dst_arr = dist.ranks_of_bucket_subs(b_arr, s_arr)
-        if s_arr.size and int(s_arr.max()) < 2**16 and int(b_arr.max()) < 2**47:
-            # (b << 16) | s is bijective here — one stable sort suffices.
-            order = np.argsort(
-                (b_arr << np.int64(16)) | s_arr, kind="stable"
-            )
-        else:
-            order = np.lexsort((s_arr, b_arr))
-        b_sorted = b_arr[order]
-        s_sorted = s_arr[order]
-        boundary = np.ones(n, dtype=bool)
-        boundary[1:] = (b_sorted[1:] != b_sorted[:-1]) | (
-            s_sorted[1:] != s_sorted[:-1]
-        )
-        starts = np.nonzero(boundary)[0].astype(np.int64)
-        ends = np.concatenate([starts[1:], np.asarray([n], dtype=np.int64)])
-        row: Dict[int, List[RouteBox]] = {}
-        for s0, s1 in zip(starts.tolist(), ends.tolist()):
-            idx = order[s0:s1]
-            row.setdefault(int(dst_arr[idx[0]]), []).append(
-                (int(b_sorted[s0]), int(s_sorted[s0]), rows[idx])
-            )
-        sends[src] = row
-        n_comm += n
-    return sends, n_comm
-
-
-def encode_wire_sends(
-    sends: Dict[int, Dict[int, List[RouteBox]]],
+    emitted: Dict[int, np.ndarray],
+    dist,
+    codec: Optional[str] = None,
     *,
+    n_indep: int = 0,
+    combiner=None,
+    combine: bool = False,
+) -> Tuple[RouteSends, int, Dict[int, int]]:
+    """Group every source's emitted rows into per-shard boxes by owner.
+
+    Sources are routed in batches (:data:`ROUTE_PASS_ROWS`).  One pass
+    over a batch computes each row's (bucket, sub, owner) and stably
+    sorts the rows by (source, bucket, sub): a box is one (source,
+    bucket, sub) run, each destination's boxes come in (bucket, sub)
+    order, and a box's rows keep their emission order.
+
+    ``codec=None`` (wire layer off) ships ``(bucket, sub, rows)`` boxes.
+    With a codec this is the whole wire-on send side.  When ``combine``
+    is set the same stable sort also groups each box's rows by
+    independent key — by all columns for a plain relation
+    (``combiner is None``) — and the groups fold with ``combiner.join``
+    (:func:`~repro.kernels.absorb.fold_groups`): one sender fold per
+    source rank, giving each box exactly the rows ``combine_block``
+    gives it.  Every box is then sized by the codec
+    (:func:`wire_payloads`) and ships as ``(bucket, sub, n_rows,
+    pre_rows, WireRows)``; the largest goes through the real codec
+    (:func:`check_largest`).
+
+    Returns ``(sends, n_comm, folded)``: the send plan, the rows
+    emitted, and per source rank the rows that went through a fold
+    (rows of boxes with more than one pre-fold row; the engine charges
+    them at serialization cost).
+    """
+    sends: RouteSends = {}
+    folded: Dict[int, int] = {}
+    largest: List[WireRows] = []
+    n_comm = 0
+    batch: List[int] = []
+    batch_rows = 0
+    srcs = [src for src, rows in emitted.items() if rows.shape[0]]
+    for i, src in enumerate(srcs):
+        batch.append(src)
+        batch_rows += emitted[src].shape[0]
+        if batch_rows >= ROUTE_PASS_ROWS or i == len(srcs) - 1:
+            largest += _route_pass(
+                [emitted[r] for r in batch], batch, dist, codec,
+                n_indep, combiner, combine, sends, folded,
+            )
+            n_comm += batch_rows
+            batch, batch_rows = [], 0
+    if codec is not None:
+        check_largest(largest, codec)
+    return sends, n_comm, folded
+
+
+def _route_pass(
+    blocks: List[np.ndarray],
+    srcs: List[int],
+    dist,
+    codec: Optional[str],
     n_indep: int,
     combiner,
     combine: bool,
-    codec: str,
-) -> Tuple[Dict[int, Dict[int, List[WireBox]]], Dict[int, int]]:
-    """Turn route boxes into wire boxes: optional sender-side fold, then
-    codec encoding.
-
-    Returns the encoded sends plus, per source rank, the number of rows
-    that went through a fold (the engine charges those at serialization
-    cost).  Shared by both executors — the scalar path converts its
-    tuple batches to row blocks and reuses this, which is what keeps the
-    two ledgers bit-identical with the wire layer on.
-    """
-    from repro.kernels.absorb import combine_block
-
-    out: Dict[int, Dict[int, List[WireBox]]] = {}
-    folded: Dict[int, int] = {}
-    for src, per_dst in sends.items():
-        row: Dict[int, List[WireBox]] = {}
-        n_folded = 0
-        for dst, boxes in per_dst.items():
-            wboxes: List[WireBox] = []
-            for b, s, rows in boxes:
-                pre = int(rows.shape[0])
-                if combine and pre > 1:
-                    rows = combine_block(rows, n_indep, combiner)
-                    n_folded += pre
-                wboxes.append(
-                    (b, s, int(rows.shape[0]), pre, encode_rows(rows, codec))
-                )
-            row[dst] = wboxes
-        out[src] = row
-        folded[src] = n_folded
-    return out, folded
-
-
-def decode_wire_box(box: WireBox, arity: int, codec: str) -> RouteBox:
-    """Inverse of the per-box encoding in :func:`encode_wire_sends`."""
-    b, s, n_rows, _pre, payload = box
-    return b, s, decode_rows(payload, n_rows, arity, codec)
+    sends: RouteSends,
+    folded: Dict[int, int],
+) -> List[WireRows]:
+    """One vectorized pass of :func:`build_route_sends` over some sources'
+    blocks; adds their boxes to ``sends`` and fold counts to ``folded``
+    and returns the pass's largest payload (none with the wire off)."""
+    rows = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
+    src_arr = np.repeat(
+        np.asarray(srcs, dtype=np.int64), [blk.shape[0] for blk in blocks]
+    )
+    b_arr, s_arr = dist.bucket_sub_of_rows(rows)
+    dst_arr = dist.ranks_of_bucket_subs(b_arr, s_arr)
+    box_key = np.column_stack([src_arr, b_arr, s_arr])
+    if codec is not None and combine:
+        key_cols = rows if combiner is None else rows[:, :n_indep]
+        order, g_starts, g_counts = lex_group(np.column_stack([box_key, key_cols]))
+        head = order[g_starts]  # first arrival of every group
+        if combiner is None:
+            block = rows[head]
+        else:
+            block = np.empty((head.shape[0], rows.shape[1]), dtype=np.int64)
+            block[:, :n_indep] = rows[head, :n_indep]
+            block[:, n_indep:] = fold_groups(
+                rows[order, n_indep:], g_starts, g_counts, combiner.join
+            )
+        head_key = box_key[head]
+        starts = np.flatnonzero(
+            np.concatenate([[True], (head_key[1:] != head_key[:-1]).any(axis=1)])
+        )
+        pre = np.add.reduceat(g_counts, starts)
+    else:
+        head, starts, pre = lex_group(box_key)
+        block = rows[head]
+    m = block.shape[0]
+    ends = np.append(starts[1:], m)
+    first = head[starts]
+    box_src = src_arr[first]
+    n_rows = ends - starts
+    b_first = b_arr[first].tolist()
+    s_first = s_arr[first].tolist()
+    if codec is None:
+        boxes: List[Union[RouteBox, SizedBox]] = [
+            (b, s, block[lo:hi])
+            for b, s, lo, hi in zip(b_first, s_first, starts.tolist(), ends.tolist())
+        ]
+        largest: List[WireRows] = []
+    else:
+        if combine:
+            per_src = np.bincount(box_src, weights=np.where(pre > 1, pre, 0))
+            for r in np.nonzero(per_src)[0].tolist():
+                folded[r] = int(per_src[r])
+        payloads = wire_payloads(block, starts, codec)
+        boxes = list(zip(b_first, s_first, n_rows.tolist(), pre.tolist(), payloads))
+        largest = [payloads[int(np.argmax(n_rows))]]
+    for src, dst, box in zip(box_src.tolist(), dst_arr[first].tolist(), boxes):
+        sends.setdefault(src, {}).setdefault(dst, []).append(box)
+    return largest
 
 
 #: A rebalance-exchange box: one (bucket, new sub-bucket) fragment of one

@@ -43,15 +43,16 @@ from repro.faults.plane import (
     RankFailure,
     UnrecoverableRankLoss,
 )
-from repro.comm.wire import encode_rows, encoded_nbytes
+from repro.comm.wire import encode_rows  # noqa: F401  (re-exported codec entry point)
 from repro.kernels.absorb import vector_combiner
 from repro.kernels.block import concat_ranges, lex_group
 from repro.kernels.join import RankJoinIndex
 from repro.kernels.route import (
+    SizedBox,
     build_intra_sends,
     build_route_sends,
-    decode_wire_box,
-    encode_wire_sends,
+    check_largest,
+    wire_payloads,
 )
 from repro.obs.tracer import NULL_TRACER
 from repro.planner.ast import Program
@@ -549,8 +550,8 @@ class Engine:
         Models the batch arriving round-robin across ranks and being
         alltoallv'd to owner ranks through the normal bucket/sub-bucket
         placement — charged to the ``incremental_seed`` phase with its own
-        ledger kind and CommMatrix ``update`` channel, payloads codec-
-        encoded when the wire layer is on.  Each relation's stale Δ (the
+        ledger kind and CommMatrix ``update`` channel, boxes sized by the
+        codec when the wire layer is on.  Each relation's stale Δ (the
         full content :meth:`load` leaves behind, or a previous update's
         seed) is flushed first; afterwards Δ holds exactly the batch rows
         newly admitted on the affected ranks.
@@ -576,19 +577,23 @@ class Engine:
             with self.timer.phase(P_SEED):
                 dst_arr = rel.dist.rank_of_rows(arr)
                 src_arr = np.arange(arr.shape[0], dtype=np.int64) % n_ranks
-                order, starts, counts = lex_group(
+                order, starts, _counts = lex_group(
                     np.column_stack([src_arr, dst_arr])
                 )
+                block = arr[order]
+                first = order[starts]
+                if self.wire.enabled:
+                    payloads = wire_payloads(block, starts, self.wire.codec)
+                    check_largest(payloads, self.wire.codec)
+                    # The bare rows lead the box, so the fault plane sees
+                    # the same integer leaves as it always has.
+                    boxes: List[object] = [(p.rows, p) for p in payloads]
+                else:
+                    boxes = np.split(block, starts[1:])
                 sends: Dict[int, Dict[int, List[object]]] = {}
-                for g in range(starts.shape[0]):
-                    idx = order[starts[g] : starts[g] + counts[g]]
-                    src, dst = int(src_arr[idx[0]]), int(dst_arr[idx[0]])
-                    block = arr[idx]
-                    box: object = (
-                        (block, encode_rows(block, self.wire.codec))
-                        if self.wire.enabled
-                        else block
-                    )
+                for src, dst, box in zip(
+                    src_arr[first].tolist(), dst_arr[first].tolist(), boxes
+                ):
                     sends.setdefault(src, {})[dst] = [box]
                 attempts = 0
                 while True:
@@ -601,7 +606,7 @@ class Engine:
                                 kind="incremental_seed",
                                 channel="update",
                                 count_of=lambda box: box[0].shape[0],
-                                nbytes_of=lambda box: encoded_nbytes(box[1]),
+                                nbytes_of=lambda box: box[1].nbytes,
                                 collective=self.wire.alltoallv,
                             )
                         else:
@@ -1590,31 +1595,30 @@ class Engine:
     # ------------------------------------------------ routing and absorption
 
     def _wire_exchange(
-        self,
-        head,
-        head_name: str,
-        sends: Dict[int, Dict[int, List[Tuple[int, int, np.ndarray]]]],
-    ) -> Dict[int, List[Tuple[int, int, np.ndarray]]]:
+        self, head, head_name: str, emitted: Dict[int, np.ndarray]
+    ) -> Tuple[Dict[int, List[SizedBox]], int]:
         """Route exchange through the wire layer (PR 7), enabled path.
 
-        Folds each box per independent key where the lattice allows,
-        encodes payloads with the configured codec, charges the fold at
-        serialization cost and the exchange at *encoded* bytes, lets the
-        collective autotuner pick direct vs Bruck, and decodes on the
-        receive side.  Shared by both executors so their ledgers stay
+        :func:`build_route_sends` folds each source's boxes per
+        independent key where the lattice allows and sizes them with the
+        configured codec; this charges the fold at serialization cost and
+        the exchange at encoded bytes, and lets the collective autotuner
+        pick direct vs Bruck.  Returns the received ``SizedBox`` lists
+        (the receiver absorbs ``payload.rows`` as they are) and the rows
+        emitted.  Shared by both executors so their ledgers stay
         bit-identical.
         """
         wire = self.wire
-        arity = head.schema.arity
         combiner, can_combine = self._wire_plan(head_name)
-        wire_sends, folded = encode_wire_sends(
-            sends,
+        sends, n_comm, folded = build_route_sends(
+            emitted,
+            head.dist,
+            wire.codec,
             n_indep=head.schema.n_indep,
             combiner=combiner,
             combine=wire.sender_combine and can_combine,
-            codec=wire.codec,
         )
-        if any(folded.values()):
+        if folded:
             cost = self.cluster.cost
             per_tuple = cost.tuple_serialize * cost.compute_scale
             charge = np.zeros(self.config.n_ranks)
@@ -1626,11 +1630,11 @@ class Engine:
         wire0 = cluster.route_wire_bytes
         coll0 = dict(cluster.collective_counts)
         recv = cluster.alltoallv(
-            wire_sends,
-            arity=arity,
+            sends,
+            arity=head.schema.arity,
             phase=P_COMM,
             count_of=lambda box: box[2],
-            nbytes_of=lambda box: encoded_nbytes(box[4]),
+            nbytes_of=lambda box: box[4].nbytes,
             pre_count_of=lambda box: box[3],
             collective=wire.alltoallv,
         )
@@ -1643,11 +1647,7 @@ class Engine:
         self.counters["wire_on_wire_bytes"] += cluster.route_wire_bytes - wire0
         for choice, n in cluster.collective_counts.items():
             self.counters[f"wire_collective_{choice}"] += n - coll0.get(choice, 0)
-        codec = wire.codec
-        return {
-            r: [decode_wire_box(box, arity, codec) for box in boxes]
-            for r, boxes in recv.items()
-        }
+        return recv, n_comm
 
     def _route_and_absorb(
         self,
@@ -1667,54 +1667,47 @@ class Engine:
         # shard-tagged batches ("boxes") so the receiver absorbs without
         # regrouping.
         Box = Tuple[int, int, List[TupleT]]  # (bucket, sub, batch)
-        sends: Dict[int, Dict[int, List[Box]]] = {}
-        n_comm = 0
         with self.timer.phase(P_COMM):
-            for src, tuples in emitted.items():
-                if not tuples:
-                    continue
-                rows = np.asarray(tuples, dtype=np.int64)
-                b_arr, s_arr = dist.bucket_sub_of_rows(rows)
-                dst_arr = dist.ranks_of_bucket_subs(b_arr, s_arr)
-                buckets = b_arr.tolist()
-                subs = s_arr.tolist()
-                dsts = dst_arr.tolist()
-                by_shard: Dict[Tuple[int, int], List[TupleT]] = {}
-                shard_dst: Dict[Tuple[int, int], int] = {}
-                for i, t in enumerate(tuples):
-                    key = (buckets[i], subs[i])
-                    lst = by_shard.get(key)
-                    if lst is None:
-                        lst = by_shard[key] = []
-                        shard_dst[key] = dsts[i]
-                    lst.append(t)
-                row: Dict[int, List[Box]] = {}
-                for key, batch in by_shard.items():
-                    dst = shard_dst[key]
-                    row.setdefault(dst, []).append((key[0], key[1], batch))
-                sends[src] = row
-                n_comm += len(tuples)
             if self.wire.enabled:
-                wire_in = {
-                    src: {
-                        dst: [
-                            (b, s, np.asarray(batch, dtype=np.int64))
-                            for b, s, batch in boxes
-                        ]
-                        for dst, boxes in row.items()
-                    }
-                    for src, row in sends.items()
-                }
-                recv = {
+                arity = head.schema.arity
+                wired, n_comm = self._wire_exchange(head, head_name, {
+                    src: np.asarray(tuples, dtype=np.int64).reshape(-1, arity)
+                    for src, tuples in emitted.items()
+                })
+                recv: Dict[int, List[Box]] = {
                     r: [
-                        (b, s, [tuple(t) for t in rows.tolist()])
-                        for b, s, rows in boxes
+                        (b, s, [tuple(t) for t in payload.rows.tolist()])
+                        for b, s, _n, _pre, payload in boxes
                     ]
-                    for r, boxes in self._wire_exchange(
-                        head, head_name, wire_in
-                    ).items()
+                    for r, boxes in wired.items()
                 }
             else:
+                sends: Dict[int, Dict[int, List[Box]]] = {}
+                n_comm = 0
+                for src, tuples in emitted.items():
+                    if not tuples:
+                        continue
+                    rows = np.asarray(tuples, dtype=np.int64)
+                    b_arr, s_arr = dist.bucket_sub_of_rows(rows)
+                    dst_arr = dist.ranks_of_bucket_subs(b_arr, s_arr)
+                    buckets = b_arr.tolist()
+                    subs = s_arr.tolist()
+                    dsts = dst_arr.tolist()
+                    by_shard: Dict[Tuple[int, int], List[TupleT]] = {}
+                    shard_dst: Dict[Tuple[int, int], int] = {}
+                    for i, t in enumerate(tuples):
+                        key = (buckets[i], subs[i])
+                        lst = by_shard.get(key)
+                        if lst is None:
+                            lst = by_shard[key] = []
+                            shard_dst[key] = dsts[i]
+                        lst.append(t)
+                    row: Dict[int, List[Box]] = {}
+                    for key, batch in by_shard.items():
+                        dst = shard_dst[key]
+                        row.setdefault(dst, []).append((key[0], key[1], batch))
+                    sends[src] = row
+                    n_comm += len(tuples)
                 recv = self.cluster.alltoallv(
                     sends,
                     arity=head.schema.arity,
@@ -1759,20 +1752,21 @@ class Engine:
     ) -> None:
         """Columnar twin of :meth:`_route_and_absorb` over row-blocks.
 
-        Boxes carry whole ``(bucket, sub, rows)`` blocks; the receiver
-        concatenates each shard's boxes in delivery order, so per-shard
-        tuple sequences — and therefore admitted counts — match the
-        scalar path exactly.
+        Boxes carry whole row blocks (``payload.rows`` of a ``SizedBox``
+        with the wire layer on); the receiver concatenates each shard's
+        boxes in delivery order, so per-shard tuple sequences — and
+        therefore admitted counts — match the scalar path exactly.
         """
         head = self.store[head_name]
         cfg = self.config
         cost = self.cluster.cost
 
+        wired = self.wire.enabled
         with self.timer.phase(P_COMM):
-            sends, n_comm = build_route_sends(emitted, head.dist)
-            if self.wire.enabled:
-                recv = self._wire_exchange(head, head_name, sends)
+            if wired:
+                recv, n_comm = self._wire_exchange(head, head_name, emitted)
             else:
+                sends, n_comm, _ = build_route_sends(emitted, head.dist)
                 recv = self.cluster.alltoallv(
                     sends,
                     arity=head.schema.arity,
@@ -1793,8 +1787,10 @@ class Engine:
             for r, boxes in recv.items():
                 absorb_stats = AbsorbStats()
                 by_shard: Dict[Tuple[int, int], List[np.ndarray]] = {}
-                for b, s, rows in boxes:
-                    by_shard.setdefault((b, s), []).append(rows)
+                for box in boxes:
+                    by_shard.setdefault((box[0], box[1]), []).append(
+                        box[4].rows if wired else box[2]
+                    )
                 for (b, s), blocks in by_shard.items():
                     block = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
                     head.absorb_block(b, s, block, absorb_stats)

@@ -1,5 +1,7 @@
 """Smoke/shape tests for the experiment harnesses (tiny scale)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments import ablations, fig2, fig3, fig4, fig5, fig6, fig7, table1, table2
@@ -53,6 +55,8 @@ class TestCommon:
         assert d.ranks((1, 2, 3), (1,)) == [1, 2, 3]
         q = ExperimentDefaults(scale_shift=0, full=False)
         assert q.ranks((1, 2, 3), (1,)) == [1]
+        pinned = ExperimentDefaults(scale_shift=0, full=True, rank_list=(4, 8))
+        assert pinned.ranks((1, 2, 3), (1,)) == [4, 8]
 
     def test_config_presets(self):
         opt = optimized_config(64)
@@ -64,14 +68,7 @@ class TestCommon:
 class TestFig2:
     @pytest.fixture(scope="class")
     def rows(self):
-        import repro.experiments.fig2 as f2
-
-        orig = f2.QUICK_RANKS
-        f2.QUICK_RANKS = (8, 16)
-        try:
-            return f2.run_fig2(TINY, n_sources=3)
-        finally:
-            f2.QUICK_RANKS = orig
+        return fig2.run_fig2(replace(TINY, rank_list=(8, 16)), n_sources=3)
 
     def test_rows_cover_grid(self, rows):
         assert {(r.n_ranks, r.variant) for r in rows} == {
@@ -118,14 +115,7 @@ class TestFig7:
 class TestScalingFigures:
     @pytest.fixture(scope="class")
     def fig5_result(self):
-        import repro.experiments.fig5 as f5
-
-        orig = f5.QUICK_RANKS
-        f5.QUICK_RANKS = (16, 64)
-        try:
-            return f5.run_fig5(TINY, n_sources=3)
-        finally:
-            f5.QUICK_RANKS = orig
+        return fig5.run_fig5(replace(TINY, rank_list=(16, 64)), n_sources=3)
 
     def test_totals_and_speedup(self, fig5_result):
         assert set(fig5_result.total) == {16, 64}
@@ -140,29 +130,19 @@ class TestScalingFigures:
         assert "Fig. 5" in fig5.render(fig5_result)
 
     def test_fig6_runs(self):
-        import repro.experiments.fig5 as f5
-
-        orig = f5.QUICK_RANKS
-        f5.QUICK_RANKS = (16, 32)
-        try:
-            result = fig6.run_fig6(TINY)
-        finally:
-            f5.QUICK_RANKS = orig
+        # One CC case at 1,024 ranks on purpose: the rank-count stress
+        # (about eight tuples per rank) that small sweeps never reach.
+        result = fig6.run_fig6(replace(TINY, rank_list=(16, 1024)))
         assert result.query == "cc"
+        assert set(result.total) == {16, 1024}
         assert "Fig. 6" in fig6.render(result)
 
 
 class TestFig4:
     def test_runs_and_renders(self):
-        import repro.experiments.fig4 as f4
-
-        orig = f4.QUICK_RANKS
-        f4.QUICK_RANKS = (16, 32)
-        try:
-            result = f4.run_fig4(TINY)
-        finally:
-            f4.QUICK_RANKS = orig
+        result = fig4.run_fig4(replace(TINY, rank_list=(16, 32)))
         assert set(result.local_join) == {1, 8}
+        assert set(result.total[8]) == {16, 32}
         assert "Fig. 4" in fig4.render(result)
 
 

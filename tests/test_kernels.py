@@ -362,7 +362,7 @@ def test_build_route_sends_partitions_all_rows():
     rel = VersionedRelation(schema, 4, layout="columnar")
     rng = np.random.default_rng(7)
     rows = rng.integers(0, 50, size=(200, 2), dtype=np.int64)
-    sends, n_comm = build_route_sends({0: rows, 2: rows[:17]}, rel.dist)
+    sends, n_comm, _ = build_route_sends({0: rows, 2: rows[:17]}, rel.dist)
     assert n_comm == 217
     for src, expect in ((0, rows), (2, rows[:17])):
         boxes = [box for row in sends[src].values() for box in row]
