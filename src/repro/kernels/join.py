@@ -4,9 +4,10 @@ The scalar join probes each received tuple against per-bucket shard
 dicts.  The columnar kernel builds, per (relation, version, rank), one
 contiguous index over *all* shards the rank owns:
 
-* rows are concatenated shard-by-shard (sorted shard-key order, each
-  shard in its nested iteration order — exactly the sequence the scalar
-  probe would walk), then stably grouped by (bucket, join-key values);
+* rows are concatenated shard-by-shard over the rank's owned keys
+  (``rel.owned_keys(rank)``: sorted shard-key order, each shard in its
+  nested iteration order — exactly the sequence the scalar probe would
+  walk), then stably grouped by (bucket, join-key values);
 * each distinct (bucket, jk) becomes one ``[start, start+count)`` row
   range, addressed through a sorted 64-bit hash table;
 * probing hashes every received row at once, verifies candidates
@@ -84,9 +85,7 @@ class RankJoinIndex:
         arity = rel.schema.arity
         blocks = []
         buckets = []
-        for key in sorted(rel.shards):
-            if rel.owner_of(key) != rank:
-                continue
+        for key in rel.owned_keys(rank):
             block = rel.shards[key].version_block(version)
             if match_block is not None and block.shape[0]:
                 block = block[match_block.mask(block)]

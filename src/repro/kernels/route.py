@@ -20,7 +20,7 @@ the ordering the receiving shards' absorb semantics depend on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -98,17 +98,26 @@ def check_largest(payloads: Sequence[WireRows], codec: str) -> None:
         raise RuntimeError(f"{codec} box of {rows.shape[0]} rows does not round-trip")
 
 
-def _segment_bounds(sorted_vals: np.ndarray) -> np.ndarray:
-    """Start offsets of equal-value runs in a sorted 1-D array."""
-    n = sorted_vals.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(
-        [
-            np.zeros(1, dtype=np.int64),
-            np.nonzero(sorted_vals[1:] != sorted_vals[:-1])[0].astype(np.int64) + 1,
-        ]
-    )
+#: Rows per vectorized routing pass: blocks and sources are batched up to
+#: about this many rows, which amortizes per-block overhead when ranks are
+#: many and small while keeping the pass's temporaries small when they
+#: are big.
+ROUTE_PASS_ROWS = 1 << 14
+
+
+def _batches(blocks: Sequence[Tuple[int, np.ndarray]]) -> Iterator[List[Tuple[int, np.ndarray]]]:
+    """Consecutive runs of ``(rank, rows)`` blocks, each closed once it
+    holds :data:`ROUTE_PASS_ROWS` rows or more."""
+    batch: List[Tuple[int, np.ndarray]] = []
+    n_rows = 0
+    for block in blocks:
+        batch.append(block)
+        n_rows += block[1].shape[0]
+        if n_rows >= ROUTE_PASS_ROWS:
+            yield batch
+            batch, n_rows = [], 0
+    if batch:
+        yield batch
 
 
 def build_intra_sends(
@@ -123,63 +132,70 @@ def build_intra_sends(
     ``owner_blocks`` are (owner rank, matched rows) pairs in shard order;
     ``per_rank_ser`` accumulates each owner's serialization fanout
     (deduplicated destinations per tuple, as the scalar path counts).
+    Blocks are routed in batches (:data:`ROUTE_PASS_ROWS`); each block
+    still ships one box per destination, its rows in block order.
     """
     sends: Dict[int, Dict[int, List[IntraBox]]] = {}
     n_intra = 0
-    for owner, rows in owner_blocks:
-        n = rows.shape[0]
-        if n == 0:
-            continue
-        buckets = dist.buckets_of_key_rows(rows, probe_cols)
-        row_map = sends.setdefault(owner, {})
-        if n_sub == 1:
-            dst = dist.owners_of_buckets(buckets, 0)
-            fanout_total = n
-            order = np.argsort(dst, kind="stable")
-            dst_sorted = dst[order]
-            bounds = _segment_bounds(dst_sorted)
-            ends = np.concatenate([bounds[1:], np.asarray([n], dtype=np.int64)])
-            for s0, s1 in zip(bounds.tolist(), ends.tolist()):
-                idx = order[s0:s1]
-                row_map.setdefault(int(dst_sorted[s0]), []).append(
-                    (buckets[idx], rows[idx])
-                )
-        else:
-            dst_mat = np.stack(
-                [dist.owners_of_buckets(buckets, s) for s in range(n_sub)]
-            )
-            # A tuple goes to each *distinct* destination once; mask out a
-            # sub-bucket whose owner repeats an earlier sub's owner.
-            keep = np.ones(dst_mat.shape, dtype=bool)
-            for s in range(1, n_sub):
-                for p in range(s):
-                    keep[s] &= dst_mat[s] != dst_mat[p]
-            fanout_total = int(keep.sum())
-            row_idx = np.concatenate([np.nonzero(keep[s])[0] for s in range(n_sub)])
-            dst_cat = np.concatenate(
-                [dst_mat[s][keep[s]] for s in range(n_sub)]
-            )
-            # Per destination, rows in arrival order (scalar append order).
-            order = np.lexsort((row_idx, dst_cat))
-            dst_sorted = dst_cat[order]
-            bounds = _segment_bounds(dst_sorted)
-            ends = np.concatenate(
-                [bounds[1:], np.asarray([dst_sorted.shape[0]], dtype=np.int64)]
-            )
-            for s0, s1 in zip(bounds.tolist(), ends.tolist()):
-                idx = row_idx[order[s0:s1]]
-                row_map.setdefault(int(dst_sorted[s0]), []).append(
-                    (buckets[idx], rows[idx])
-                )
-        per_rank_ser[owner] += fanout_total
-        n_intra += fanout_total
+    blocks = [(owner, rows) for owner, rows in owner_blocks if rows.shape[0]]
+    for batch in _batches(blocks):
+        n_intra += _intra_pass(batch, dist, n_sub, probe_cols, per_rank_ser, sends)
     return sends, n_intra
 
 
-#: Rows per vectorized routing pass: sources are batched up to about
-#: this many rows, which amortizes per-source overhead when ranks are many
-#: and small while keeping the pass's temporaries small when they are big.
-ROUTE_PASS_ROWS = 1 << 14
+def _intra_pass(
+    batch: List[Tuple[int, np.ndarray]],
+    dist,
+    n_sub: int,
+    probe_cols: Sequence[int],
+    per_rank_ser: np.ndarray,
+    sends: Dict[int, Dict[int, List[IntraBox]]],
+) -> int:
+    """One vectorized pass of :func:`build_intra_sends` over some blocks:
+    one bucket hash and one ``(n_sub, rows)`` owner matrix for all their
+    rows, then one sort by (block, destination, row).  Adds the boxes to
+    ``sends`` and returns the fanout."""
+    owners = np.asarray([owner for owner, _ in batch], dtype=np.int64)
+    rows = np.concatenate([r for _, r in batch]) if len(batch) > 1 else batch[0][1]
+    n = rows.shape[0]
+    blk = np.repeat(
+        np.arange(len(batch), dtype=np.int64), [r.shape[0] for _, r in batch]
+    )
+    buckets = dist.buckets_of_key_rows(rows, probe_cols)
+    dst_mat = dist.ranks_of_bucket_subs(
+        np.tile(buckets, n_sub), np.repeat(np.arange(n_sub, dtype=np.int64), n)
+    ).reshape(n_sub, n)
+    # A tuple goes to each *distinct* destination once; mask out a
+    # sub-bucket whose owner repeats an earlier sub's owner.
+    keep = np.ones(dst_mat.shape, dtype=bool)
+    for s in range(1, n_sub):
+        for p in range(s):
+            keep[s] &= dst_mat[s] != dst_mat[p]
+    flat = np.flatnonzero(keep)
+    row_idx = flat % n
+    dst = dst_mat.reshape(-1)[flat]
+    row_blk = blk[row_idx]
+    # Per (block, destination), rows in arrival order (scalar append order).
+    order = np.lexsort((row_idx, dst, row_blk))
+    blk_sorted = row_blk[order]
+    dst_sorted = dst[order]
+    idx = row_idx[order]
+    starts = np.flatnonzero(
+        np.concatenate([
+            [True],
+            (blk_sorted[1:] != blk_sorted[:-1]) | (dst_sorted[1:] != dst_sorted[:-1]),
+        ])
+    )
+    ends = np.append(starts[1:], idx.shape[0])
+    b_out = buckets[idx]
+    r_out = rows[idx]
+    for src, d, lo, hi in zip(
+        owners[blk_sorted[starts]].tolist(), dst_sorted[starts].tolist(),
+        starts.tolist(), ends.tolist(),
+    ):
+        sends.setdefault(src, {}).setdefault(d, []).append((b_out[lo:hi], r_out[lo:hi]))
+    per_rank_ser += np.bincount(owners[row_blk], minlength=per_rank_ser.shape[0])
+    return int(flat.shape[0])
 
 
 def build_route_sends(
@@ -220,19 +236,13 @@ def build_route_sends(
     folded: Dict[int, int] = {}
     largest: List[WireRows] = []
     n_comm = 0
-    batch: List[int] = []
-    batch_rows = 0
-    srcs = [src for src, rows in emitted.items() if rows.shape[0]]
-    for i, src in enumerate(srcs):
-        batch.append(src)
-        batch_rows += emitted[src].shape[0]
-        if batch_rows >= ROUTE_PASS_ROWS or i == len(srcs) - 1:
-            largest += _route_pass(
-                [emitted[r] for r in batch], batch, dist, codec,
-                n_indep, combiner, combine, sends, folded,
-            )
-            n_comm += batch_rows
-            batch, batch_rows = [], 0
+    blocks = [(src, rows) for src, rows in emitted.items() if rows.shape[0]]
+    for batch in _batches(blocks):
+        largest += _route_pass(
+            [rows for _, rows in batch], [src for src, _ in batch], dist, codec,
+            n_indep, combiner, combine, sends, folded,
+        )
+        n_comm += sum(rows.shape[0] for _, rows in batch)
     if codec is not None:
         check_largest(largest, codec)
     return sends, n_comm, folded

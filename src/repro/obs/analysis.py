@@ -45,6 +45,7 @@ which gates on *modeled*-time drift — deterministic, machine-independent
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -397,6 +398,23 @@ def comm_profile_from_spans(spans: Sequence[Any]) -> Optional[CommMatrixRecorder
     rec = CommMatrixRecorder(max(m.n_ranks for m in matrices))
     rec.matrices = sorted(matrices, key=lambda m: m.seq)
     return rec
+
+
+def fold_rates_from_spans(spans: Sequence[Any]) -> List[float]:
+    """Duplicate rate of every folded route exchange, in trace order.
+
+    Reads the engine's ``wire_fold`` instants: the rate is the share of
+    an exchange's pre-fold rows the sender fold removed.  Exchanges that
+    did not fold (combining off, or a lattice that cannot fold) are left
+    out — their rows were never grouped, so they measure nothing.
+    """
+    return [
+        1.0 - sp.attrs["kept_rows"] / sp.attrs["pre_rows"]
+        for sp in spans
+        if sp.name == "wire_fold"
+        and sp.attrs.get("combine")
+        and sp.attrs.get("pre_rows")
+    ]
 
 
 # ============================================================ critical path
@@ -958,6 +976,19 @@ class DiagnosticsReport:
     skew: SkewReport
     comm_profile: Optional[CommMatrixRecorder] = None
     reconciliation: Optional[Dict[str, Any]] = None
+    #: Duplicate rate of each folded route exchange (:func:`fold_rates_from_spans`).
+    fold_rates: List[float] = field(default_factory=list)
+
+    def fold_summary(self) -> Optional[Dict[str, Any]]:
+        """Min / median / max duplicate rate over the folded exchanges."""
+        if not self.fold_rates:
+            return None
+        return {
+            "exchanges": len(self.fold_rates),
+            "min": min(self.fold_rates),
+            "median": statistics.median(self.fold_rates),
+            "max": max(self.fold_rates),
+        }
 
     def to_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
@@ -970,6 +1001,9 @@ class DiagnosticsReport:
             out["comm_profile"] = prof
         if self.reconciliation is not None:
             out["reconciliation"] = self.reconciliation
+        folds = self.fold_summary()
+        if folds is not None:
+            out["wire_fold"] = folds
         return out
 
     def render(self) -> str:
@@ -989,25 +1023,34 @@ class DiagnosticsReport:
                 f"{cp.phase_shares.get(phase, 0.0):6.1%} {rank_s:>14s}"
             )
         lines.append(f"  {'total':14s} {cp.total_seconds:12.6f} {1:6.1%}")
-        if self.comm_profile is not None:
-            p = self.comm_profile
+        p = self.comm_profile
+        if p is not None:
             lines.append(
                 f"comm matrices: {len(p)} exchange(s), "
                 f"{p.bytes_total('data')} data bytes / "
                 f"{p.tuples_total('data')} tuples, "
                 f"{p.bytes_total('retransmit')} retransmit bytes"
             )
-            pre = p.bytes_total("precombine")
-            if pre:
-                saved = p.bytes_saved()
-                pct = 100.0 * saved / pre if pre else 0.0
-                lines.append(
-                    f"  wire layer: {pre} pre-combine bytes -> "
-                    f"{pre - saved} on-wire, {saved} saved ({pct:.1f}%)"
-                )
-            if self.reconciliation is not None:
-                ok = "reconciled" if self.reconciliation["ok"] else "MISMATCH"
-                lines.append(f"  ledger reconciliation: {ok}")
+        wire = []
+        pre = p.bytes_total("precombine") if p is not None else 0
+        if pre:
+            saved = p.bytes_saved()
+            wire.append(
+                f"{pre} pre-combine bytes -> {pre - saved} on-wire, "
+                f"{saved} saved ({100.0 * saved / pre:.1f}%)"
+            )
+        folds = self.fold_summary()
+        if folds is not None:
+            wire.append(
+                f"duplicate rate min {folds['min']:.1%} / median "
+                f"{folds['median']:.1%} / max {folds['max']:.1%} over "
+                f"{folds['exchanges']} folded exchange(s)"
+            )
+        if wire:
+            lines.append("  wire layer: " + "; ".join(wire))
+        if self.reconciliation is not None:
+            ok = "reconciled" if self.reconciliation["ok"] else "MISMATCH"
+            lines.append(f"  ledger reconciliation: {ok}")
         lines.append(self.skew.render())
         return "\n".join(lines)
 
@@ -1053,6 +1096,7 @@ def diagnose(
         skew=skew,
         comm_profile=comm_profile,
         reconciliation=reconciliation,
+        fold_rates=fold_rates_from_spans(spans),
     )
 
 

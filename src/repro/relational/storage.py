@@ -7,8 +7,11 @@ phase — data enters a shard either at load time or out of a collective's
 receive buffer, mirroring the physical constraint of the real system.
 
 Shards are created lazily (most of a 16,384-rank cluster's shard space is
-empty for any real relation), and per-rank size queries iterate non-empty
-shards only, keeping very-high-rank simulations tractable.
+empty for any real relation).  Which rank owns each existing shard is
+kept in one cached :class:`PlacementIndex` per relation, rebuilt only when
+the relation's placement version changes, so per-rank queries (join-index
+builds, size vectors, owner-tagged iteration) cost O(shards owned) or one
+vectorized pass, never a scalar placement call per shard per rank.
 """
 
 from __future__ import annotations
@@ -44,10 +47,12 @@ class VersionedRelation:
         self.dist = Distribution(schema, n_ranks, seed)
         self.use_btree = use_btree
         self.layout = layout
-        self.shards: Dict[ShardKey, _ShardBase] = {}
-        # (bucket, rank) → probe shard list, invalidated when shards appear.
-        self._probe_cache: Dict[Tuple[int, int], List[_ShardBase]] = {}
-        self._probe_cache_token = 0
+        self._shards: Dict[ShardKey, _ShardBase] = {}
+        #: Bumped whenever the shard → owner map may change: a new shard
+        #: appears, the shard map is swapped, or the placement changes.
+        #: The owned-shard index is valid while the version holds.
+        self.placement_version = 0
+        self._index: Optional[PlacementIndex] = None
         #: Version generations for join-index caching: ``full_gen`` bumps
         #: whenever any shard's full version changes, ``delta_gen`` whenever
         #: Δ is replaced.  An index built at generation g stays valid while
@@ -57,40 +62,41 @@ class VersionedRelation:
 
     # ---------------------------------------------------------------- shards
 
+    @property
+    def shards(self) -> Dict[ShardKey, _ShardBase]:
+        """The shard map (read-only binding: swap it with
+        :meth:`install_reshard` or :meth:`restore_shards`)."""
+        return self._shards
+
     def shard(self, bucket: int, sub: int, *, create: bool = True) -> Optional[_ShardBase]:
         key = (bucket, sub)
-        s = self.shards.get(key)
+        s = self._shards.get(key)
         if s is None and create:
             s = make_shard(
                 self.schema, self.use_btree, columnar=self.layout == "columnar"
             )
-            self.shards[key] = s
+            self._shards[key] = s
+            self.placement_version += 1
         return s
 
-    def shards_at_rank_for_bucket(self, bucket: int, rank: int) -> List[_ShardBase]:
-        """Existing shards of ``bucket`` owned by ``rank`` (join probe set).
+    def placement(self) -> "PlacementIndex":
+        """The owned-shard index at the current placement version."""
+        index = self._index
+        if index is None or index.version != self.placement_version:
+            index = self._index = PlacementIndex(self)
+        return index
 
-        Memoized: the mapping only changes when a new shard materializes,
-        so the cache is invalidated by shard count — this keeps the local
-        join's per-bucket setup O(1) at 16k-rank scale.
-        """
-        token = len(self.shards)
-        if token != self._probe_cache_token:
-            self._probe_cache.clear()
-            self._probe_cache_token = token
-        key = (bucket, rank)
-        hit = self._probe_cache.get(key)
-        if hit is None:
-            hit = []
-            for s in range(self.schema.n_subbuckets):
-                if self.dist.owner(bucket, s) == rank:
-                    shard = self.shards.get((bucket, s))
-                    if shard is not None:
-                        hit.append(shard)
-            self._probe_cache[key] = hit
-        return hit
+    def owned_keys(self, rank: int) -> List[ShardKey]:
+        """Sorted keys of the existing shards ``rank`` owns."""
+        return self.placement().by_rank.get(rank, [])
+
+    def shards_at_rank_for_bucket(self, bucket: int, rank: int) -> List[_ShardBase]:
+        """Existing shards of ``bucket`` owned by ``rank`` (join probe set),
+        in sub-bucket order."""
+        return self.placement().probe_set(bucket, rank)
 
     def owner_of(self, key: ShardKey) -> int:
+        """Scalar owner of one shard key (the reference the index matches)."""
         return self.dist.owner(*key)
 
     # ----------------------------------------------------------------- load
@@ -210,39 +216,31 @@ class VersionedRelation:
         return sum(s.delta_size() for s in self.shards.values())
 
     def full_sizes_by_rank(self) -> np.ndarray:
-        out = np.zeros(self.n_ranks, dtype=np.int64)
-        for key, shard in self.shards.items():
-            out[self.owner_of(key)] += shard.full_size()
-        return out
+        return self.placement().sizes_by_rank("full")
 
     def delta_sizes_by_rank(self) -> np.ndarray:
-        out = np.zeros(self.n_ranks, dtype=np.int64)
-        for key, shard in self.shards.items():
-            out[self.owner_of(key)] += shard.delta_size()
-        return out
+        return self.placement().sizes_by_rank("delta")
 
     # ------------------------------------------------------------- iterators
 
     def iter_full(self) -> Iterator[TupleT]:
         """All materialized tuples (deterministic shard order)."""
-        for key in sorted(self.shards):
-            yield from self.shards[key].iter_full()
+        for shard in self.placement().shards:
+            yield from shard.iter_full()
 
     def iter_delta(self) -> Iterator[TupleT]:
-        for key in sorted(self.shards):
-            yield from self.shards[key].iter_delta()
+        for shard in self.placement().shards:
+            yield from shard.iter_delta()
 
     def iter_delta_with_owner(self) -> Iterator[Tuple[int, TupleT]]:
         """Δ tuples tagged with the rank that holds them (join send side)."""
-        for key in sorted(self.shards):
-            owner = self.owner_of(key)
-            for t in self.shards[key].iter_delta():
+        for owner, shard in self.placement().owned_shards():
+            for t in shard.iter_delta():
                 yield owner, t
 
     def iter_full_with_owner(self) -> Iterator[Tuple[int, TupleT]]:
-        for key in sorted(self.shards):
-            owner = self.owner_of(key)
-            for t in self.shards[key].iter_full():
+        for owner, shard in self.placement().owned_shards():
+            for t in shard.iter_full():
                 yield owner, t
 
     def version_batches(self, version: str) -> Iterator[Tuple[int, List[TupleT]]]:
@@ -253,13 +251,12 @@ class VersionedRelation:
         """
         if version not in ("full", "delta"):
             raise ValueError(f"unknown version {version!r}")
-        for key in sorted(self.shards):
-            shard = self.shards[key]
+        for owner, shard in self.placement().owned_shards():
             batch = list(
                 shard.iter_delta() if version == "delta" else shard.iter_full()
             )
             if batch:
-                yield self.owner_of(key), batch
+                yield owner, batch
 
     def version_blocks(self, version: str) -> Iterator[Tuple[int, np.ndarray]]:
         """Per-shard row-blocks of one version, tagged with owner rank.
@@ -269,10 +266,10 @@ class VersionedRelation:
         """
         if version not in ("full", "delta"):
             raise ValueError(f"unknown version {version!r}")
-        for key in sorted(self.shards):
-            block = self.shards[key].version_block(version)
+        for owner, shard in self.placement().owned_shards():
+            block = shard.version_block(version)
             if block.shape[0]:
-                yield self.owner_of(key), block
+                yield owner, block
 
     # ------------------------------------------------------------- rebalance
 
@@ -282,27 +279,23 @@ class VersionedRelation:
         Used by the online rebalancer and by checkpoint restore: the
         placement is a pure function of (schema, n_ranks, seed, dead set),
         so swapping the schema re-derives it exactly — the degraded-mode
-        overlay, when installed, survives the swap.  Probe caches are
-        invalidated — sub-bucket fan-out just changed under them.
+        overlay, when installed, survives the swap.
         """
         self.schema = new_schema
         self.dist = Distribution(
             new_schema, self.n_ranks, self.dist.seed, self.dist.dead_ranks
         )
-        self._probe_cache.clear()
-        self._probe_cache_token = -1
+        self.placement_version += 1
 
     def exclude_ranks(self, dead: Iterable[int]) -> None:
         """Install the degraded-mode overlay: reroute dead ranks' shards.
 
         Shards physically stay where they are (the simulation holds all
         of them in one process); only the owner function changes, exactly
-        as survivors of a real cluster would recompute placement.  Probe
-        caches are invalidated — ownership just changed under them.
+        as survivors of a real cluster would recompute placement.
         """
         self.dist = self.dist.exclude_ranks(dead)
-        self._probe_cache.clear()
-        self._probe_cache_token = -1
+        self.placement_version += 1
 
     def install_reshard(
         self,
@@ -334,9 +327,27 @@ class VersionedRelation:
             shard.install_state(full_rows, delta_rows)
             new_shards[key] = shard
         self.set_schema(new_schema)
-        self.shards = new_shards
+        self._shards = new_shards
         self.full_gen += 1
         self.delta_gen += 1
+
+    def restore_shards(
+        self,
+        shards: Dict[ShardKey, _ShardBase],
+        full_gen: int,
+        delta_gen: int,
+        schema: Optional[Schema] = None,
+    ) -> None:
+        """Swap in a captured shard map and its version generations
+        (checkpoint restore).  ``schema``, when it differs from the
+        current one, reverts the placement to the captured sub-bucket map
+        (a rebalance happened after the capture)."""
+        if schema is not None and schema is not self.schema:
+            self.set_schema(schema)
+        self._shards = shards
+        self.full_gen = full_gen
+        self.delta_gen = delta_gen
+        self.placement_version += 1
 
     def as_set(self) -> set:
         """Materialize the full version as a Python set (tests/inspection)."""
@@ -347,6 +358,57 @@ class VersionedRelation:
             f"VersionedRelation({self.schema.name!r}, full={self.full_size()}, "
             f"delta={self.delta_size()}, shards={len(self.shards)})"
         )
+
+
+class PlacementIndex:
+    """Owned-shard index of one relation at one placement version.
+
+    ``keys`` are the existing shard keys in sorted order, ``shards`` the
+    shards in that order and ``owners`` their owner ranks, computed in one
+    vectorized :meth:`Distribution.ranks_of_bucket_subs` pass (equal to
+    the scalar :meth:`Distribution.owner` on every key); ``by_rank`` maps
+    each rank to the sorted keys it owns.
+    """
+
+    __slots__ = ("version", "n_ranks", "keys", "shards", "owners", "by_rank", "_probe")
+
+    def __init__(self, rel: VersionedRelation):
+        self.version = rel.placement_version
+        self.n_ranks = rel.n_ranks
+        self.keys: List[ShardKey] = sorted(rel.shards)
+        self.shards: List[_ShardBase] = [rel.shards[k] for k in self.keys]
+        kb = np.asarray(self.keys, dtype=np.int64).reshape(-1, 2)
+        self.owners = rel.dist.ranks_of_bucket_subs(kb[:, 0], kb[:, 1])
+        self.by_rank: Dict[int, List[ShardKey]] = {}
+        for key, owner in zip(self.keys, self.owners.tolist()):
+            self.by_rank.setdefault(owner, []).append(key)
+        self._probe: Optional[Dict[Tuple[int, int], List[_ShardBase]]] = None
+
+    def owned_shards(self) -> Iterator[Tuple[int, _ShardBase]]:
+        """``(owner, shard)`` pairs in sorted shard-key order."""
+        return zip(self.owners.tolist(), self.shards)
+
+    def sizes_by_rank(self, version: str) -> np.ndarray:
+        """Per-rank tuple count of one version (one ``bincount``)."""
+        sizes = np.fromiter(
+            (
+                s.delta_size() if version == "delta" else s.full_size()
+                for s in self.shards
+            ),
+            dtype=np.int64,
+            count=len(self.shards),
+        )
+        return np.bincount(
+            self.owners, weights=sizes, minlength=self.n_ranks
+        ).astype(np.int64)
+
+    def probe_set(self, bucket: int, rank: int) -> List[_ShardBase]:
+        """Shards of ``bucket`` owned by ``rank``, in sub-bucket order."""
+        if self._probe is None:
+            self._probe = {}
+            for key, owner, shard in zip(self.keys, self.owners.tolist(), self.shards):
+                self._probe.setdefault((key[0], owner), []).append(shard)
+        return self._probe.get((bucket, rank), [])
 
 
 class RelationStore:

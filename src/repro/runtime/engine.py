@@ -1074,15 +1074,14 @@ class Engine:
                 reowned = 0
                 moves: List[Tuple[int, int, int]] = []
                 for _name, rel in sorted(self.store.relations.items()):
-                    old_dist = rel.dist
-                    keys = [
-                        k for k in rel.shards if old_dist.owner(*k) == rank
-                    ]
+                    keys = rel.owned_keys(rank)
                     rel.exclude_ranks({rank})
+                    index = rel.placement()
+                    new_owner = dict(zip(index.keys, index.owners.tolist()))
                     for key in keys:
                         tuples = rel.shards[key].full_size()
                         moves.append((
-                            rel.dist.owner(*key),
+                            new_owner[key],
                             tuples * rel.schema.arity * BYTES_PER_WORD,
                             tuples,
                         ))
@@ -1610,14 +1609,34 @@ class Engine:
         """
         wire = self.wire
         combiner, can_combine = self._wire_plan(head_name)
+        combine = wire.sender_combine and can_combine
         sends, n_comm, folded = build_route_sends(
             emitted,
             head.dist,
             wire.codec,
             n_indep=head.schema.n_indep,
             combiner=combiner,
-            combine=wire.sender_combine and can_combine,
+            combine=combine,
         )
+        if self.tracer.enabled:
+            # The exchange's duplicate rate: rows the sender fold removed
+            # (observation only; nothing below reads it).
+            kept = sum(
+                box[2]
+                for per_dst in sends.values()
+                for boxes in per_dst.values()
+                for box in boxes
+            )
+            self.tracer.instant(
+                "wire_fold",
+                cat="wire",
+                attrs={
+                    "relation": head_name,
+                    "combine": combine,
+                    "pre_rows": n_comm,
+                    "kept_rows": kept,
+                },
+            )
         if folded:
             cost = self.cluster.cost
             per_tuple = cost.tuple_serialize * cost.compute_scale

@@ -139,9 +139,7 @@ def reshard_relation(
         wire.alltoallv if (wire is not None and wire.enabled) else "direct"
     )
     blocks: List[Tuple[int, int, np.ndarray]] = []
-    for key in sorted(rel.shards):
-        shard = rel.shards[key]
-        src = rel.dist.owner(*key)
+    for src, shard in rel.placement().owned_shards():
         for kind, version in ((0, "full"), (1, "delta")):
             rows = shard.version_block(version)
             if rows.shape[0]:

@@ -124,6 +124,24 @@ class TestCc:
         }
 
 
+    def test_high_rank_twitter_like(self):
+        """CC at 4,096 ranks, kept in tier-1 on purpose: per-rank costs
+        (join-index builds, size votes) are what this scale stresses.
+        The modeled time is the literal the run had before the owned-shard
+        placement index, so the index changes no modeled number."""
+        from repro.experiments.common import optimized_config
+        from repro.graphs.datasets import load_dataset
+
+        g = load_dataset("twitter_like", scale_shift=4)
+        r = run_cc(g, optimized_config(4096))
+        ref = connected_components(g)
+        non_isolated = set(int(v) for v in np.unique(g.edges[:, :2]))
+        assert {v: r.labels[v] for v in non_isolated} == {
+            v: ref[v] for v in non_isolated
+        }
+        assert r.fixpoint.modeled_seconds() == 0.0006072526
+
+
 class TestReachability:
     def test_tc_small(self):
         g = Graph(edges=np.array([(0, 1), (1, 2)], dtype=np.int64), n_nodes=3)

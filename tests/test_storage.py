@@ -87,17 +87,26 @@ class TestVersionedRelation:
         with pytest.raises(ValueError):
             list(rel.version_batches("nope"))
 
-    def test_probe_cache_invalidation(self):
+    def test_placement_version_invalidation(self):
         rel = VersionedRelation(edge_schema(), 4)
         rel.load([(0, 1, 1)])
         b = rel.dist.bucket_of((0, 1, 1))
         before = rel.shards_at_rank_for_bucket(b, b)
         assert len(before) == 1
-        # a new shard appears: cache must refresh
+        version = rel.placement_version
+        # a new shard appears: the version bumps and the index refreshes
         other = next(k for k in range(100) if rel.dist.bucket_of((k, 0, 0)) != b)
         rel.load([(other, 0, 0)])
+        assert rel.placement_version > version
         again = rel.shards_at_rank_for_bucket(b, b)
         assert len(again) == 1
+        ob = rel.dist.bucket_of((other, 0, 0))
+        assert rel.shards_at_rank_for_bucket(ob, ob) == [rel.shards[(ob, 0)]]
+        # the overlay moves b's shard off rank b
+        rel.exclude_ranks({b})
+        assert rel.shards_at_rank_for_bucket(b, b) == []
+        assert rel.owned_keys(b) == []
+        assert rel.shards_at_rank_for_bucket(b, rel.owner_of((b, 0))) == before
 
     def test_seed_delta_from_full(self):
         rel = VersionedRelation(edge_schema(), 4)

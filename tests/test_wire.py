@@ -331,6 +331,47 @@ class TestDiagnosticsBytesSaved:
         assert rec.bytes_saved() == fp.comm_profile.bytes_saved()
         assert "wire layer:" in fp.diagnose().render()
 
+    def test_duplicate_rate_per_exchange(self, tmp_path, medium_weighted_graph):
+        """Each route exchange records its fold (observation only): the
+        traced run's answers and ledger equal the untraced run's, and the
+        rates survive a trace round trip into trace-report's line."""
+        from repro.obs.analysis import diagnose, fold_rates_from_spans
+        from repro.obs.export import load_trace
+        from repro.obs.tracer import Tracer
+
+        g = medium_weighted_graph
+        plain = run_sssp(g, [0, 5], _cfg()).fixpoint
+        fp = run_sssp(g, [0, 5], _cfg(tracer=Tracer())).fixpoint
+        assert fp.query("spath") == plain.query("spath")
+        assert fp.modeled_seconds() == plain.modeled_seconds()
+        folds = [sp for sp in fp.spans if sp.name == "wire_fold"]
+        assert folds
+        for sp in folds:
+            assert sp.attrs["relation"] == "spath" and sp.attrs["combine"]
+            assert 0 <= sp.attrs["kept_rows"] <= sp.attrs["pre_rows"]
+        rates = fold_rates_from_spans(fp.spans)
+        assert max(rates) > 0
+        path = tmp_path / "trace.jsonl"
+        fp.write_trace(str(path), "jsonl")
+        spans, metrics, _meta = load_trace(str(path))
+        report = diagnose(spans, metrics=metrics)
+        assert report.fold_rates == rates
+        assert report.to_dict()["wire_fold"]["max"] == max(rates)
+        assert "duplicate rate min" in report.render()
+
+    def test_no_duplicate_rate_without_fold(self, medium_weighted_graph):
+        from repro.obs.tracer import Tracer
+
+        fp = run_sssp(
+            medium_weighted_graph, [0, 5],
+            _cfg(wire=WireConfig(sender_combine=False), tracer=Tracer()),
+        ).fixpoint
+        folds = [sp for sp in fp.spans if sp.name == "wire_fold"]
+        assert folds and not any(sp.attrs["combine"] for sp in folds)
+        assert all(sp.attrs["kept_rows"] == sp.attrs["pre_rows"] for sp in folds)
+        assert fp.diagnose().fold_rates == []
+        assert "duplicate rate" not in fp.diagnose().render()
+
 
 class TestSpmdWire:
     def test_spmd_agrees_with_bsp_wire_on(self):
